@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	dvasim -prog BDNA -arch DVA -latency 50 [-bypass] [-loadq 256] [-storeq 16] [-iq 16]
+//	dvasim -prog BDNA -arch DVA|BYP|REF -latency 50 [-loadq 256] [-storeq 16] [-iq 16]
 //
 // Observability modes:
 //
@@ -78,14 +78,9 @@ func run() error {
 		return usageError{fmt.Errorf("-cache-max-mb must be >= 0 (0 = unbounded), got %d", *cacheMaxMB)}
 	}
 
-	cfg := decvec.DefaultConfig(*latency)
-	cfg.AVDQSize = *loadQ
-	cfg.VADQSize = *storeQ
-	cfg.IQSize = *iq
-	cfg.LatencyJitter = *jitter
-	archName := strings.ToUpper(*arch)
-	if archName == "BYP" {
-		cfg.Bypass = true
+	job, err := jobOf(*arch, *latency, *loadQ, *storeQ, *iq, *jitter)
+	if err != nil {
+		return usageError{err}
 	}
 
 	// Recording is only paid for when an event trace was requested; the
@@ -151,11 +146,10 @@ func run() error {
 		}()
 	}
 	var res *decvec.Result
-	var err error
 	if store != nil {
-		res, err = decvec.RunSourceCached(store, src, archName, cfg, *cacheVerify)
+		res, err = decvec.RunSourceCached(store, src, job.Label(), job.Cfg, *cacheVerify)
 	} else {
-		res, err = decvec.RunSourceRecorded(src, archName, cfg, rec)
+		res, err = decvec.RunSourceRecorded(src, job.Label(), job.Cfg, rec)
 	}
 	if err != nil {
 		return err
@@ -186,7 +180,7 @@ func run() error {
 	}
 
 	fmt.Printf("%s on %s (%s)\n", name, res.Arch, desc)
-	fmt.Printf("  config:        %s\n", cfg.String())
+	fmt.Printf("  config:        %s\n", job.Cfg.String())
 	fmt.Printf("  cycles:        %d (ideal lower bound %d, ratio %.2f)\n",
 		res.Cycles, idealCycles, float64(res.Cycles)/float64(idealCycles))
 	fmt.Printf("  instructions:  %d scalar, %d vector (%d vector ops, avg VL %.1f)\n",
@@ -219,6 +213,16 @@ func run() error {
 			rec.Dropped, rec.MaxEvents)
 	}
 	return nil
+}
+
+// jobOf parses the architecture and configuration flags into the run's job.
+func jobOf(arch string, latency int64, loadQ, storeQ, iq int, jitter int64) (decvec.Job, error) {
+	j := decvec.Job{Cfg: decvec.DefaultConfig(latency)}
+	j.Cfg.AVDQSize = loadQ
+	j.Cfg.VADQSize = storeQ
+	j.Cfg.IQSize = iq
+	j.Cfg.LatencyJitter = jitter
+	return j, j.ParseArch(arch)
 }
 
 func writeEvents(path string, res *decvec.Result, rec *decvec.Recorder) error {

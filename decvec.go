@@ -17,12 +17,10 @@
 package decvec
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 
 	"decvec/internal/dva"
 	"decvec/internal/experiments"
@@ -213,20 +211,32 @@ func RunSource(src trace.Source, arch string, cfg Config) (*Result, error) {
 	return RunSourceRecorded(src, arch, cfg, nil)
 }
 
+// Job is the identity of one simulation — trace, architecture,
+// configuration — as every layer below the facade consumes it. Job.ParseArch
+// is the one place an architecture name (REF, DVA or BYP, any case) is
+// resolved; BYP becomes DVA with Cfg.Bypass set.
+type Job = experiments.Job
+
+// parseJob resolves a facade (arch, config) pair into its job.
+func parseJob(arch string, cfg Config) (Job, error) {
+	j := Job{Cfg: cfg}
+	if err := j.ParseArch(arch); err != nil {
+		return j, fmt.Errorf("decvec: %w", err)
+	}
+	return j, nil
+}
+
 // RunSourceRecorded is RunSource with an event recorder attached; pass nil
 // to disable recording (equivalent to RunSource).
 func RunSourceRecorded(src trace.Source, arch string, cfg Config, rec *Recorder) (*Result, error) {
-	switch arch {
-	case "REF", "ref":
-		return ref.RunRecorded(src, cfg, rec)
-	case "DVA", "dva", "BYP", "byp":
-		if arch == "BYP" || arch == "byp" {
-			cfg.Bypass = true
-		}
-		return dva.RunRecorded(src, cfg, rec)
-	default:
-		return nil, fmt.Errorf("decvec: unknown architecture %q (want REF, DVA or BYP)", arch)
+	j, err := parseJob(arch, cfg)
+	if err != nil {
+		return nil, err
 	}
+	if j.Arch == experiments.REF {
+		return ref.RunRecorded(src, j.Cfg, rec)
+	}
+	return dva.RunRecorded(src, j.Cfg, rec)
 }
 
 // MetricsJSON renders a result — cycle counts, state breakdown, stall
@@ -278,49 +288,21 @@ func CacheTable(st CacheStats) string { return report.CacheTable(st) }
 // error if the stored bytes differ from the fresh encoding. A nil store
 // simulates uncached.
 func RunSourceCached(store *CacheStore, src trace.Source, arch string, cfg Config, verify float64) (*Result, error) {
-	simulate := func() (*Result, error) { return RunSource(src, arch, cfg) }
 	if store == nil {
-		return simulate()
+		return RunSource(src, arch, cfg)
 	}
-	// BYP is DVA with the bypass bit set: canonicalize so a -arch BYP run
-	// shares its entry with the equivalent DVA+Bypass run (and with the
-	// entries dvabench writes).
-	keyArch := strings.ToUpper(arch)
-	keyCfg := cfg
-	if keyArch == "BYP" {
-		keyArch = "DVA"
-		keyCfg.Bypass = true
-	}
-	th, err := simcache.TraceHash(src)
-	if err != nil {
-		return simulate()
-	}
-	key := store.Key(th, keyArch, keyCfg, "")
-	if r, payload, ok := store.GetBytes(key); ok {
-		if simcache.VerifySample(key, verify) {
-			store.CountVerified()
-			fresh, err := simulate()
-			if err != nil {
-				return nil, err
-			}
-			freshBytes, err := simcache.EncodeResultBytes(fresh)
-			if err != nil {
-				return nil, err
-			}
-			if !bytes.Equal(freshBytes, payload) {
-				return nil, fmt.Errorf("decvec: cache verification FAILED for %s %s on %s: stored result differs from re-simulation (key %s…); the store at %s holds results no current model produces — remove it and re-run", keyArch, cfg.String(), src.Name(), key[:16], store.Dir())
-			}
-		}
-		return r, nil
-	}
-	r, err := simulate()
+	j, err := parseJob(arch, cfg)
 	if err != nil {
 		return nil, err
 	}
-	// Persistence is best-effort: a read-only or full store must not fail a
-	// simulation that already succeeded.
-	_ = store.Put(key, r)
-	return r, nil
+	sl, ok := src.(*trace.Slice)
+	if !ok {
+		sl = trace.Materialize(src.Name(), src.Stream())
+	}
+	j.Trace = sl
+	s := experiments.NewSuite(1)
+	s.Disk, s.VerifyFraction = store, verify
+	return s.Run(context.Background(), j)
 }
 
 // Server is the dvad simulation daemon: an HTTP/JSON front end over an

@@ -187,8 +187,9 @@ func (l *Loader) check(path, dir string) (*Package, error) {
 
 // LoadPatterns expands the driver's package patterns ("./..." or directory
 // paths relative to the module root) and loads every matching package.
-// Directories named testdata, hidden directories and directories without
-// non-test Go files are skipped.
+// Directories named testdata, hidden directories, directories without
+// non-test Go files and — as with the go tool — nested modules (any
+// directory below the walk root holding its own go.mod) are skipped.
 func (l *Loader) LoadPatterns(patterns []string) ([]*Package, error) {
 	var dirs []string
 	seen := make(map[string]bool)
@@ -201,7 +202,7 @@ func (l *Loader) LoadPatterns(patterns []string) ([]*Package, error) {
 				return nil
 			}
 			name := d.Name()
-			if path != root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+			if path != root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || isModuleRoot(path)) {
 				return filepath.SkipDir
 			}
 			if hasGoFiles(path) && !seen[path] {
@@ -248,6 +249,13 @@ func (l *Loader) LoadPatterns(patterns []string) ([]*Package, error) {
 		pkgs = append(pkgs, p)
 	}
 	return pkgs, nil
+}
+
+// isModuleRoot reports whether dir holds a go.mod, making it a module of
+// its own rather than part of the one being loaded.
+func isModuleRoot(dir string) bool {
+	_, err := os.Stat(filepath.Join(dir, "go.mod"))
+	return err == nil
 }
 
 func hasGoFiles(dir string) bool {

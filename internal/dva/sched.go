@@ -6,10 +6,13 @@ package dva
 // unit's step function only executes when the unit is *due* (the cycle
 // reached its wake time) or *dirty* (a queue its decisions read mutated
 // since it last stepped). A unit that steps without acting goes back to
-// sleep: its stall reasons are cached and replayed verbatim on every
-// skipped cycle, so the stall counters and the recorded event stream stay
-// bit-identical to the SlowTick reference, and its wake time is recomputed
-// as the earliest strictly-future timestamp its decision predicates read.
+// sleep: its stall reasons are cached, and every slept cycle would have
+// re-stalled with exactly those reasons, so the whole sleep is settled as
+// one debt when the unit next steps (or at end of run) — counters and the
+// recorder's coalesced stall spans alike, which keeps both bit-identical to
+// the SlowTick reference with or without a recorder. Its wake time is
+// recomputed as the earliest strictly-future timestamp its decision
+// predicates read.
 // The whole-machine idle skip is the degenerate all-units-asleep case: on a
 // cycle with no progress and no mutation every dirty bit is provably clear
 // (every queue mutation lives inside a progressing step), so the machine
@@ -31,8 +34,8 @@ package dva
 //   - cross-unit timestamps only grow (bus reservations extend busy spans,
 //     never shrink them), and the one cross-unit predicate without a dirty
 //     bit — the bus — is checked last in every step function, after every
-//     stall it could mask, so a unit sleeping on an earlier stall replays
-//     it correctly no matter what the bus does meanwhile.
+//     stall it could mask, so a unit sleeping on an earlier stall owes
+//     exactly that stall no matter what the bus does meanwhile.
 //
 // Register scoreboards (aReady, sReady, vRegs), functional units, QMOV
 // units, the bypass unit, the store engine and the disambiguation memo are
@@ -119,29 +122,17 @@ func (m *machine) wireWake() {
 }
 
 // tickUnit runs unit u's slot of the current cycle: step it when due or
-// dirty, otherwise replay its cached stall reasons (each replayed reason
-// goes through stall(), so counters and the recorder see exactly what a
-// stepped re-stall would have emitted). Recorder-off runs skip even the
-// replay — a sleeping unit costs two loads and a branch — and settle the
-// slept cycles' stall counts in bulk when the unit next steps (the cached
-// reasons are exactly what every slept cycle would have emitted, so
-// count × cycles is exact); see settleStallDebt for the end-of-run flush.
+// dirty; otherwise it sleeps, which costs two loads and a branch. A unit
+// that steps first settles the stall debt of the cycles it slept through
+// (settleUnit), so its counters and recorded stall spans are complete
+// before the step emits anything new.
 // declint:hotpath
 func (m *machine) tickUnit(u int) {
 	if m.dirty&(1<<u) == 0 && m.now < m.wake[u] {
-		if m.rec != nil {
-			for i := int8(0); i < m.stallN[u]; i++ {
-				m.stall(m.stallCache[u][i])
-			}
-		}
 		return
 	}
-	if m.rec == nil {
-		if d := m.now - m.lastStep[u] - 1; d > 0 {
-			for i := int8(0); i < m.stallN[u]; i++ {
-				m.stalls.Add(m.stallCache[u][i], d)
-			}
-		}
+	if d := m.now - m.lastStep[u] - 1; d > 0 && m.stallN[u] > 0 {
+		m.settleUnit(u, d)
 	}
 	m.lastStep[u] = m.now
 	wasDirty := m.dirty&(1<<u) != 0
@@ -190,18 +181,33 @@ func (m *machine) tickUnit(u int) {
 	m.wake[u] = m.unitWake(u)
 }
 
+// settleUnit charges unit u's cached stall reasons for the d cycles it
+// slept after its last step. The reasons are exactly what every slept cycle
+// would have emitted in the reference mode, so count × cycles is exact, and
+// the recorder extends the reason's open stall event by the same span
+// (Recorder.StallSpan) — the event the unit opened when it last stepped and
+// stalled, since a reason is only ever emitted by its own unit.
+// declint:hotpath
+func (m *machine) settleUnit(u int, d int64) {
+	for i := int8(0); i < m.stallN[u]; i++ {
+		r := m.stallCache[u][i]
+		m.stalls.Add(r, d)
+		if m.rec != nil {
+			m.rec.StallSpan(m.lastStep[u]+1, r, d)
+		}
+	}
+}
+
 // settleStallDebt flushes every unit's outstanding stall debt at the end of
-// a recorder-off fast run. A unit asleep since its last step would, in the
-// reference mode, have stepped and re-stalled with its cached reasons on
-// every cycle through the terminal one, so each reason is owed
-// now-lastStep cycles (the stall at lastStep itself was batched normally
-// that cycle). Units that stepped on the terminal cycle owe nothing.
+// a fast run. A unit asleep since its last step would, in the reference
+// mode, have stepped and re-stalled with its cached reasons on every cycle
+// through the terminal one, so each reason is owed now-lastStep cycles (the
+// stall at lastStep itself was batched normally that cycle). Units that
+// stepped on the terminal cycle owe nothing.
 func (m *machine) settleStallDebt() {
 	for u := 0; u < numUnits; u++ {
 		if d := m.now - m.lastStep[u]; d > 0 {
-			for i := int8(0); i < m.stallN[u]; i++ {
-				m.stalls.Add(m.stallCache[u][i], d)
-			}
+			m.settleUnit(u, d)
 		}
 	}
 }

@@ -30,18 +30,18 @@ type AblationResult struct {
 // sweepParam runs the six benchmarks over cfgs (one per value).
 func sweepParam(ctx context.Context, s *Suite, name string, latency int64, values []int, mk func(v int) sim.Config) (*AblationResult, error) {
 	progs := workload.Simulated()
-	var runs []RunSpec
+	var runs []Job
 	for _, v := range values {
-		runs = append(runs, RunSpec{DVA, mk(v)})
+		runs = append(runs, Job{Arch: DVA, Cfg: mk(v)})
 	}
-	if err := s.WarmCtx(ctx, progs, runs); err != nil {
+	if _, err := s.RunBatch(ctx, grid(progs, runs)); err != nil {
 		return nil, err
 	}
 	res := &AblationResult{Parameter: name, Latency: latency, Values: values}
 	for _, p := range progs {
 		ap := AblationProgram{Name: p.Name}
 		for _, v := range values {
-			r, err := s.RunCtx(ctx, p, DVA, mk(v))
+			r, err := s.Run(ctx, Job{Program: p, Arch: DVA, Cfg: mk(v)})
 			if err != nil {
 				return nil, err
 			}

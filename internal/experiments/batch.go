@@ -27,8 +27,6 @@ var (
 	oooRunners sim.RunPool[*ooo.Runner]
 )
 
-var errUnknownArch = errors.New("experiments: unknown architecture")
-
 func getRefRunner() *ref.Runner {
 	if r, ok := refRunners.Get(); ok {
 		return r
@@ -50,62 +48,51 @@ func getOOORunner() *ooo.Runner {
 	return ooo.NewRunner()
 }
 
-// simulateArch performs one uncached simulator invocation on a pooled
+// simulateJob performs one uncached simulator invocation on a pooled
 // machine. This is the batch hot loop: everything per run up to the core's
 // own (hot-path-gated) stepping must stay allocation-free, so the function
 // sits under the hotalloc gate. A runner is returned to its pool even when
 // the run fails — reset restores it either way.
 // declint:hotpath
-func simulateArch(tr trace.Source, arch Arch, cfg sim.Config) (*sim.Result, error) {
-	switch arch {
+func simulateJob(tr trace.Source, j Job) (*sim.Result, error) {
+	switch j.Arch {
 	case REF:
 		rn := getRefRunner()
-		r, err := rn.Run(tr, cfg)
+		r, err := rn.Run(tr, j.Cfg)
 		refRunners.Put(rn)
 		return r, err
 	case DVA:
 		rn := getDVARunner()
-		r, err := rn.Run(tr, cfg)
+		r, err := rn.Run(tr, j.Cfg)
 		dvaRunners.Put(rn)
 		return r, err
-	default:
+	case OOO:
+		rn := getOOORunner()
+		r, err := rn.Run(tr, ooo.Config{Config: j.Cfg, Window: j.Window, PhysRegs: j.PhysRegs})
+		oooRunners.Put(rn)
+		return r, err
+	default: // declint:nonexhaustive — a value no constant names
 		return nil, errUnknownArch
 	}
 }
 
-// simulateOOO is simulateArch for the out-of-order extension.
-// declint:hotpath
-func simulateOOO(tr trace.Source, cfg ooo.Config) (*sim.Result, error) {
-	rn := getOOORunner()
-	r, err := rn.Run(tr, cfg)
-	oooRunners.Put(rn)
-	return r, err
-}
-
-// BatchJob is one simulation of a batch: a program run on an architecture
-// under a configuration.
-type BatchJob struct {
-	Program *workload.Program
-	Arch    Arch
-	Cfg     sim.Config
-}
-
-// RunBatch steps many independent traces through the pooled machines and
+// RunBatch steps many independent jobs through the pooled machines and
 // returns the results in job order. The batch is staged for throughput:
 //
-//   - cold: every distinct trace is materialized once, across the CPUs;
-//   - hot: duplicate (program, arch, config) cells are collapsed, grouped
-//     by trace so consecutive runs on a worker replay an instruction slab
-//     that is already cache-hot, ordered longest-expected-first, and
-//     drained by a worker pool in which every simulation reuses a pooled
-//     machine (through the suite's singleflight and disk tiers, so a batch
-//     shares results with — and publishes results to — every other caller).
+//   - cold: every distinct workload trace is materialized once, across the
+//     CPUs;
+//   - hot: duplicate jobs are collapsed, grouped by trace so consecutive
+//     runs on a worker replay an instruction slab that is already
+//     cache-hot, ordered longest-expected-first, and drained by a worker
+//     pool in which every simulation reuses a pooled machine (through Run's
+//     singleflight and disk tiers, so a batch shares results with — and
+//     publishes results to — every other caller).
 //
 // Errors do not mask each other: all cells run, the joined aggregate is
 // returned, and the cells that did succeed come back alongside it — a
 // partial batch returns every completed result with nil holes at the failed
 // positions. Cancellation skips cells not yet started.
-func (s *Suite) RunBatch(ctx context.Context, jobs []BatchJob) ([]*sim.Result, error) {
+func (s *Suite) RunBatch(ctx context.Context, jobs []Job) ([]*sim.Result, error) {
 	if len(jobs) == 0 {
 		return nil, nil
 	}
@@ -118,6 +105,9 @@ func (s *Suite) RunBatch(ctx context.Context, jobs []BatchJob) ([]*sim.Result, e
 	progs := make(map[string]*workload.Program, 8)
 	mats := make([]func() error, 0, 8)
 	for _, j := range jobs {
+		if j.Program == nil {
+			continue // uploaded traces arrive materialized
+		}
 		if prev, ok := progs[j.Program.Name]; ok {
 			if prev != j.Program {
 				return nil, fmt.Errorf("experiments: batch contains two distinct programs named %q; results would be keyed interchangeably", j.Program.Name)
@@ -135,37 +125,32 @@ func (s *Suite) RunBatch(ctx context.Context, jobs []BatchJob) ([]*sim.Result, e
 		return nil, err
 	}
 
-	// Collapse duplicate cells; remember every distinct one once.
+	// Collapse duplicate cells; remember every distinct one once. A trace
+	// is identified by the trace half of the memo key.
 	type cell struct {
-		p    *workload.Program
-		arch Arch
-		cfg  sim.Config
+		j    Job
 		cost int64
 	}
-	key := func(j BatchJob) suiteKey {
-		cfg := j.Cfg
-		if s.SlowTick {
-			cfg.SlowTick = true
+	traceOf := func(k memoKey) memoKey { return memoKey{program: k.program, hash: k.hash} }
+	keys := make([]memoKey, len(jobs))
+	var keyErrs []error
+	cells := make(map[memoKey]cell, len(jobs))
+	order := make([]memoKey, 0, len(jobs))
+	traceCost := make(map[memoKey]int64, len(progs))
+	for i := range jobs {
+		j, k, err := s.memoKey(jobs[i])
+		if err != nil {
+			keyErrs = append(keyErrs, err)
+			continue
 		}
-		return suiteKey{program: j.Program.Name, arch: j.Arch, cfg: cfg}
-	}
-	cells := make(map[suiteKey]cell, len(jobs))
-	order := make([]suiteKey, 0, len(jobs))
-	progCost := make(map[string]int64, len(progs))
-	for _, j := range jobs {
-		k := key(j)
+		keys[i] = k
 		if _, ok := cells[k]; ok {
 			continue
 		}
-		c := cell{
-			p:    j.Program,
-			arch: j.Arch,
-			cfg:  j.Cfg,
-			cost: int64(j.Program.CachedTrace(s.Scale).Len()) * j.Cfg.MemLatency,
-		}
+		c := cell{j: j, cost: int64(j.source(s.Scale).Len()) * j.Cfg.MemLatency}
 		cells[k] = c
 		order = append(order, k)
-		progCost[j.Program.Name] += c.cost
+		traceCost[traceOf(k)] += c.cost
 	}
 
 	// Batched interleave: all of one trace's cells run back to back (its
@@ -173,29 +158,32 @@ func (s *Suite) RunBatch(ctx context.Context, jobs []BatchJob) ([]*sim.Result, e
 	// a trace heaviest cell first, so the long simulations start immediately
 	// and short ones fill the remaining worker capacity.
 	sort.SliceStable(order, func(i, j int) bool {
-		a, b := order[i], order[j]
-		if a.program != b.program {
-			ca, cb := progCost[a.program], progCost[b.program]
+		a, b := traceOf(order[i]), traceOf(order[j])
+		if a != b {
+			ca, cb := traceCost[a], traceCost[b]
 			if ca != cb {
 				return ca > cb
 			}
-			return a.program < b.program
+			if a.program != b.program {
+				return a.program < b.program
+			}
+			return string(a.hash[:]) < string(b.hash[:])
 		}
-		return cells[a].cost > cells[b].cost
+		return cells[order[i]].cost > cells[order[j]].cost
 	})
 
 	// Hot phase: drain the cells across the CPUs, each worker recording its
 	// own cell's outcome in place (distinct slots, so no lock is needed).
-	// RunCtx supplies the singleflight and cache tiers; the simulation
-	// itself lands on a pooled machine via simulateArch. parallelCtx runs
-	// every cell and joins every error — one failed cell must neither hide
-	// another's failure nor discard the cells that succeeded.
+	// Run supplies the singleflight and cache tiers; the simulation itself
+	// lands on a pooled machine via simulateJob. parallelCtx runs every cell
+	// and joins every error — one failed cell must neither hide another's
+	// failure nor discard the cells that succeeded.
 	got := make([]*sim.Result, len(order))
 	fns := make([]func() error, len(order))
 	for i, k := range order {
 		c := cells[k]
 		fns[i] = func() error {
-			r, err := s.RunCtx(ctx, c.p, c.arch, c.cfg)
+			r, err := s.Run(ctx, c.j)
 			got[i] = r
 			return err
 		}
@@ -205,14 +193,14 @@ func (s *Suite) RunBatch(ctx context.Context, jobs []BatchJob) ([]*sim.Result, e
 	// Collect in job order from the recorded outcomes — never by re-running
 	// a cell, which for a failed cell would mean a second simulation whose
 	// error masks the first. Failed cells leave nil holes; the joined
-	// hot-phase aggregate carries every cause.
-	byKey := make(map[suiteKey]*sim.Result, len(order))
+	// aggregate carries every cause.
+	byKey := make(map[memoKey]*sim.Result, len(order))
 	for i, k := range order {
 		byKey[k] = got[i]
 	}
 	out := make([]*sim.Result, len(jobs))
-	for i, j := range jobs {
-		out[i] = byKey[key(j)]
+	for i := range jobs {
+		out[i] = byKey[keys[i]]
 	}
-	return out, hotErr
+	return out, errors.Join(append(keyErrs, hotErr)...)
 }

@@ -18,11 +18,11 @@ import (
 func TestRunBatchPartialFailure(t *testing.T) {
 	s := NewSuite(0.05)
 	p := workload.Simulated()[0]
-	jobs := []BatchJob{
+	jobs := []Job{
 		{Program: p, Arch: REF, Cfg: sim.DefaultConfig(1)},
-		{Program: p, Arch: Arch("XXX"), Cfg: sim.DefaultConfig(1)},
+		{Program: p, Arch: Arch(99), Cfg: sim.DefaultConfig(1)},
 		{Program: p, Arch: DVA, Cfg: sim.DefaultConfig(1)},
-		{Program: p, Arch: Arch("YYY"), Cfg: sim.DefaultConfig(10)},
+		{Program: p, Arch: Arch(98), Cfg: sim.DefaultConfig(10)},
 	}
 	out, err := s.RunBatch(context.Background(), jobs)
 	if err == nil {
@@ -49,7 +49,7 @@ func TestRunBatchProgramNameCollision(t *testing.T) {
 	orig := workload.Simulated()[0]
 	fake := &workload.Program{Name: orig.Name, Description: "impostor"}
 	s := NewSuite(0.05)
-	jobs := []BatchJob{
+	jobs := []Job{
 		{Program: orig, Arch: REF, Cfg: sim.DefaultConfig(1)},
 		{Program: fake, Arch: REF, Cfg: sim.DefaultConfig(1)},
 	}
@@ -65,7 +65,7 @@ func TestRunBatchProgramNameCollision(t *testing.T) {
 	}
 
 	// The same definition appearing twice is of course fine.
-	jobs = []BatchJob{
+	jobs = []Job{
 		{Program: orig, Arch: REF, Cfg: sim.DefaultConfig(1)},
 		{Program: orig, Arch: REF, Cfg: sim.DefaultConfig(1)},
 	}

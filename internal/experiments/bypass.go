@@ -56,14 +56,14 @@ func Figure7(ctx context.Context, s *Suite, lats []int64) (*Figure7Result, error
 		lats = DefaultLatencies
 	}
 	progs := workload.Simulated()
-	var runs []RunSpec
+	var runs []Job
 	for _, l := range lats {
-		runs = append(runs, RunSpec{DVA, sim.DefaultConfig(l)})
+		runs = append(runs, Job{Arch: DVA, Cfg: sim.DefaultConfig(l)})
 		for _, bc := range Figure7Configs {
-			runs = append(runs, RunSpec{DVA, sim.BypassConfig(l, bc.LoadQ, bc.StoreQ)})
+			runs = append(runs, Job{Arch: DVA, Cfg: sim.BypassConfig(l, bc.LoadQ, bc.StoreQ)})
 		}
 	}
-	if err := s.WarmCtx(ctx, progs, runs); err != nil {
+	if _, err := s.RunBatch(ctx, grid(progs, runs)); err != nil {
 		return nil, err
 	}
 	res := &Figure7Result{Latencies: lats}
@@ -71,7 +71,7 @@ func Figure7(ctx context.Context, s *Suite, lats []int64) (*Figure7Result, error
 		fp := Figure7Program{Name: p.Name, Ideal: s.Ideal(ctx, p).Cycles}
 		dva := Figure7Series{Name: "DVA 256/16"}
 		for _, l := range lats {
-			r, err := s.RunCtx(ctx, p, DVA, sim.DefaultConfig(l))
+			r, err := s.Run(ctx, Job{Program: p, Arch: DVA, Cfg: sim.DefaultConfig(l)})
 			if err != nil {
 				return nil, err
 			}
@@ -81,7 +81,7 @@ func Figure7(ctx context.Context, s *Suite, lats []int64) (*Figure7Result, error
 		for _, bc := range Figure7Configs {
 			ser := Figure7Series{Name: bc.Name}
 			for _, l := range lats {
-				r, err := s.RunCtx(ctx, p, DVA, sim.BypassConfig(l, bc.LoadQ, bc.StoreQ))
+				r, err := s.Run(ctx, Job{Program: p, Arch: DVA, Cfg: sim.BypassConfig(l, bc.LoadQ, bc.StoreQ)})
 				if err != nil {
 					return nil, err
 				}
@@ -118,20 +118,20 @@ func Figure8(ctx context.Context, s *Suite, latency int64) (*Figure8Result, erro
 		latency = 30
 	}
 	progs := workload.Simulated()
-	runs := []RunSpec{
-		{DVA, sim.DefaultConfig(latency)},
-		{DVA, sim.BypassConfig(latency, 256, 16)},
+	runs := []Job{
+		{Arch: DVA, Cfg: sim.DefaultConfig(latency)},
+		{Arch: DVA, Cfg: sim.BypassConfig(latency, 256, 16)},
 	}
-	if err := s.WarmCtx(ctx, progs, runs); err != nil {
+	if _, err := s.RunBatch(ctx, grid(progs, runs)); err != nil {
 		return nil, err
 	}
 	res := &Figure8Result{Latency: latency}
 	for _, p := range progs {
-		rd, err := s.RunCtx(ctx, p, DVA, sim.DefaultConfig(latency))
+		rd, err := s.Run(ctx, Job{Program: p, Arch: DVA, Cfg: sim.DefaultConfig(latency)})
 		if err != nil {
 			return nil, err
 		}
-		rb, err := s.RunCtx(ctx, p, DVA, sim.BypassConfig(latency, 256, 16))
+		rb, err := s.Run(ctx, Job{Program: p, Arch: DVA, Cfg: sim.BypassConfig(latency, 256, 16)})
 		if err != nil {
 			return nil, err
 		}

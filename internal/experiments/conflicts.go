@@ -37,7 +37,7 @@ func ExtensionConflicts(ctx context.Context, s *Suite, base int64, jitters []int
 		jitters = []int64{0, 30, 60, 120}
 	}
 	progs := workload.Simulated()
-	var runs []RunSpec
+	var runs []Job
 	mk := func(j int64) sim.Config {
 		cfg := sim.DefaultConfig(base)
 		cfg.LatencyJitter = j
@@ -45,20 +45,20 @@ func ExtensionConflicts(ctx context.Context, s *Suite, base int64, jitters []int
 	}
 	for _, j := range jitters {
 		runs = append(runs,
-			RunSpec{REF, mk(j)},
-			RunSpec{DVA, mk(j)})
+			Job{Arch: REF, Cfg: mk(j)},
+			Job{Arch: DVA, Cfg: mk(j)})
 	}
-	if err := s.WarmCtx(ctx, progs, runs); err != nil {
+	if _, err := s.RunBatch(ctx, grid(progs, runs)); err != nil {
 		return nil, err
 	}
 	res := &ConflictsResult{BaseLatency: base, Jitters: jitters}
 	for _, p := range progs {
 		for _, j := range jitters {
-			rr, err := s.RunCtx(ctx, p, REF, mk(j))
+			rr, err := s.Run(ctx, Job{Program: p, Arch: REF, Cfg: mk(j)})
 			if err != nil {
 				return nil, err
 			}
-			rd, err := s.RunCtx(ctx, p, DVA, mk(j))
+			rd, err := s.Run(ctx, Job{Program: p, Arch: DVA, Cfg: mk(j)})
 			if err != nil {
 				return nil, err
 			}

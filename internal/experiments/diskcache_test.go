@@ -34,7 +34,7 @@ func TestSuiteWarmDiskCacheSkipsSimulation(t *testing.T) {
 	var want []*sim.Result
 	for _, cfg := range cfgs {
 		for _, arch := range []Arch{REF, DVA} {
-			r, err := cold.Run(p, arch, cfg)
+			r, err := cold.run(p, arch, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -54,7 +54,7 @@ func TestSuiteWarmDiskCacheSkipsSimulation(t *testing.T) {
 	i := 0
 	for _, cfg := range cfgs {
 		for _, arch := range []Arch{REF, DVA} {
-			r, err := warm.Run(p, arch, cfg)
+			r, err := warm.run(p, arch, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -79,14 +79,14 @@ func TestSuiteSlowTickSharesDiskEntries(t *testing.T) {
 		t.Fatal(err)
 	}
 	cold := diskSuite(t, dir, simcache.Options{})
-	if _, err := cold.Run(p, DVA, sim.DefaultConfig(30)); err != nil {
+	if _, err := cold.run(p, DVA, sim.DefaultConfig(30)); err != nil {
 		t.Fatal(err)
 	}
 	// SlowTick is bit-identical and normalized out of the key: a slow-tick
 	// suite hits the fast-tick entry.
 	warm := diskSuite(t, dir, simcache.Options{})
 	warm.SlowTick = true
-	if _, err := warm.Run(p, DVA, sim.DefaultConfig(30)); err != nil {
+	if _, err := warm.run(p, DVA, sim.DefaultConfig(30)); err != nil {
 		t.Fatal(err)
 	}
 	if got := warm.Simulations(); got != 0 {
@@ -105,7 +105,7 @@ func TestSuiteRunOOODiskCache(t *testing.T) {
 	cfg.PhysRegs = 64
 
 	cold := diskSuite(t, dir, simcache.Options{})
-	want, err := cold.RunOOO(p, cfg)
+	want, err := cold.runOOO(p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestSuiteRunOOODiskCache(t *testing.T) {
 	}
 
 	warm := diskSuite(t, dir, simcache.Options{})
-	got, err := warm.RunOOO(p, cfg)
+	got, err := warm.runOOO(p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestSuiteRunOOODiskCache(t *testing.T) {
 	// A different window is a different key, not a stale hit.
 	cfg2 := cfg
 	cfg2.Window = 64
-	if _, err := warm.RunOOO(p, cfg2); err != nil {
+	if _, err := warm.runOOO(p, cfg2); err != nil {
 		t.Fatal(err)
 	}
 	if warm.Simulations() != 1 {
@@ -143,12 +143,12 @@ func TestSuiteVerifyPassesOnHonestStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	cold := diskSuite(t, dir, simcache.Options{})
-	if _, err := cold.Run(p, DVA, sim.DefaultConfig(30)); err != nil {
+	if _, err := cold.run(p, DVA, sim.DefaultConfig(30)); err != nil {
 		t.Fatal(err)
 	}
 	warm := diskSuite(t, dir, simcache.Options{})
 	warm.VerifyFraction = 1.0
-	if _, err := warm.Run(p, DVA, sim.DefaultConfig(30)); err != nil {
+	if _, err := warm.run(p, DVA, sim.DefaultConfig(30)); err != nil {
 		t.Fatalf("verification failed on an honest store: %v", err)
 	}
 	// The verification re-simulation counts as a simulation and as Verified.
@@ -175,7 +175,7 @@ func TestSuiteVerifyFailsOnTamperedEntry(t *testing.T) {
 	// real simulation, skew the cycle count, store the skewed result under
 	// the honest key. Checksums pass — only re-simulation can catch it.
 	honest := NewSuite(testScale)
-	r, err := honest.Run(p, DVA, cfg)
+	r, err := honest.run(p, DVA, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestSuiteVerifyFailsOnTamperedEntry(t *testing.T) {
 	s := NewSuite(testScale)
 	s.Disk = store
 	s.VerifyFraction = 1.0
-	_, err = s.Run(p, DVA, cfg)
+	_, err = s.run(p, DVA, cfg)
 	if err == nil {
 		t.Fatal("verification accepted a tampered entry")
 	}
@@ -203,7 +203,7 @@ func TestSuiteVerifyFailsOnTamperedEntry(t *testing.T) {
 	// demonstrating the failure -cache-verify exists to catch.
 	blind := NewSuite(testScale)
 	blind.Disk = store
-	got, err := blind.Run(p, DVA, cfg)
+	got, err := blind.run(p, DVA, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,13 +219,13 @@ func TestSuiteFingerprintChangeForcesColdRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	cold := diskSuite(t, dir, simcache.Options{Fingerprint: "mh1:model-v1"})
-	if _, err := cold.Run(p, REF, sim.DefaultConfig(30)); err != nil {
+	if _, err := cold.run(p, REF, sim.DefaultConfig(30)); err != nil {
 		t.Fatal(err)
 	}
 	// Same directory, new fingerprint — as after any model-source edit: the
 	// old entry must be unreachable and the run must simulate.
 	edited := diskSuite(t, dir, simcache.Options{Fingerprint: "mh1:model-v2"})
-	if _, err := edited.Run(p, REF, sim.DefaultConfig(30)); err != nil {
+	if _, err := edited.run(p, REF, sim.DefaultConfig(30)); err != nil {
 		t.Fatal(err)
 	}
 	if got := edited.Simulations(); got != 1 {

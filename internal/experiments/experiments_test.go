@@ -22,18 +22,18 @@ func TestSuiteCachesRuns(t *testing.T) {
 	s := suite(t)
 	p := workload.Simulated()[0]
 	cfg := sim.DefaultConfig(10)
-	a, err := s.Run(p, REF, cfg)
+	a, err := s.run(p, REF, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := s.Run(p, REF, cfg)
+	b, err := s.run(p, REF, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != b {
 		t.Error("identical runs not cached")
 	}
-	if _, err := s.Run(p, Arch("BOGUS"), cfg); err == nil {
+	if _, err := s.run(p, Arch(99), cfg); err == nil {
 		t.Error("expected unknown-architecture error")
 	}
 }

@@ -3,9 +3,6 @@ package experiments
 import (
 	"context"
 
-	"sync"
-
-	"decvec/internal/ooo"
 	"decvec/internal/sim"
 	"decvec/internal/workload"
 )
@@ -44,70 +41,50 @@ func ExtensionOOO(ctx context.Context, s *Suite, lats []int64) (*ExtensionOOORes
 		lats = []int64{1, 30, 100}
 	}
 	progs := workload.Simulated()
-	var runs []RunSpec
+	// One batch covers the REF and DVA baselines and every OOO window, so
+	// the OOO runs share the suite's pooled machines, memory and disk tiers
+	// and trace-grouped scheduling with the rest.
+	var runs []Job
 	for _, l := range lats {
 		cfg := sim.DefaultConfig(l)
-		runs = append(runs,
-			RunSpec{REF, cfg},
-			RunSpec{DVA, cfg})
+		runs = append(runs, Job{Arch: REF, Cfg: cfg}, Job{Arch: DVA, Cfg: cfg})
+		for _, w := range ExtensionOOOWindows {
+			runs = append(runs, oooJob(l, w))
+		}
 	}
-	if err := s.WarmCtx(ctx, progs, runs); err != nil {
+	if _, err := s.RunBatch(ctx, grid(progs, runs)); err != nil {
 		return nil, err
 	}
 	res := &ExtensionOOOResult{Latencies: lats, Windows: ExtensionOOOWindows}
-
-	// The OOO runs go through Suite.RunOOO, so they share the suite's
-	// memory and persistent caches; computed in parallel per
-	// (program, latency, window).
-	type key struct {
-		prog string
-		lat  int64
-		w    int
-	}
-	oooCycles := make(map[key]int64)
-	var oooMu sync.Mutex
-	var jobs []func() error
 	for _, p := range progs {
 		for _, l := range lats {
-			for _, w := range ExtensionOOOWindows {
-				p, l, w := p, l, w
-				jobs = append(jobs, func() error {
-					cfg := ooo.DefaultConfig(l)
-					cfg.Window = w
-					cfg.PhysRegs = 4 * physFloor(w)
-					r, err := s.RunOOOCtx(ctx, p, cfg)
-					if err != nil {
-						return err
-					}
-					oooMu.Lock()
-					oooCycles[key{p.Name, l, w}] = r.Cycles
-					oooMu.Unlock()
-					return nil
-				})
-			}
-		}
-	}
-	if err := parallelCtx(ctx, jobs); err != nil {
-		return nil, err
-	}
-	for _, p := range progs {
-		for _, l := range lats {
-			rr, err := s.RunCtx(ctx, p, REF, sim.DefaultConfig(l))
+			rr, err := s.Run(ctx, Job{Program: p, Arch: REF, Cfg: sim.DefaultConfig(l)})
 			if err != nil {
 				return nil, err
 			}
-			rd, err := s.RunCtx(ctx, p, DVA, sim.DefaultConfig(l))
+			rd, err := s.Run(ctx, Job{Program: p, Arch: DVA, Cfg: sim.DefaultConfig(l)})
 			if err != nil {
 				return nil, err
 			}
 			row := ExtensionOOORow{Name: p.Name, Latency: l, Ref: rr.Cycles, Dva: rd.Cycles}
 			for _, w := range ExtensionOOOWindows {
-				row.Ooo = append(row.Ooo, oooCycles[key{p.Name, l, w}])
+				j := oooJob(l, w)
+				j.Program = p
+				ro, err := s.Run(ctx, j)
+				if err != nil {
+					return nil, err
+				}
+				row.Ooo = append(row.Ooo, ro.Cycles)
 			}
 			res.Rows = append(res.Rows, row)
 		}
 	}
 	return res, nil
+}
+
+// oooJob is the OOO template of one (latency, window) cell of the study.
+func oooJob(latency int64, window int) Job {
+	return Job{Arch: OOO, Cfg: sim.DefaultConfig(latency), Window: window, PhysRegs: 4 * physFloor(window)}
 }
 
 // physFloor sizes the physical register pool relative to the window with a

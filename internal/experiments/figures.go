@@ -34,18 +34,18 @@ type Figure1Result struct {
 func Figure1(ctx context.Context, s *Suite) (*Figure1Result, error) {
 	lats := Figure1Latencies
 	progs := workload.Simulated()
-	var runs []RunSpec
+	var runs []Job
 	for _, l := range lats {
-		runs = append(runs, RunSpec{REF, sim.DefaultConfig(l)})
+		runs = append(runs, Job{Arch: REF, Cfg: sim.DefaultConfig(l)})
 	}
-	if err := s.WarmCtx(ctx, progs, runs); err != nil {
+	if _, err := s.RunBatch(ctx, grid(progs, runs)); err != nil {
 		return nil, err
 	}
 	res := &Figure1Result{Latencies: lats}
 	for _, p := range progs {
 		fp := Figure1Program{Name: p.Name}
 		for _, l := range lats {
-			r, err := s.RunCtx(ctx, p, REF, sim.DefaultConfig(l))
+			r, err := s.Run(ctx, Job{Program: p, Arch: REF, Cfg: sim.DefaultConfig(l)})
 			if err != nil {
 				return nil, err
 			}
@@ -112,15 +112,15 @@ func Sweep(ctx context.Context, s *Suite, lats []int64) (*SweepResult, error) {
 		lats = DefaultLatencies
 	}
 	progs := workload.Simulated()
-	var runs []RunSpec
+	var runs []Job
 	for _, l := range lats {
 		cfg := sim.DefaultConfig(l)
 		runs = append(runs,
-			RunSpec{REF, cfg},
-			RunSpec{DVA, cfg},
+			Job{Arch: REF, Cfg: cfg},
+			Job{Arch: DVA, Cfg: cfg},
 		)
 	}
-	if err := s.WarmCtx(ctx, progs, runs); err != nil {
+	if _, err := s.RunBatch(ctx, grid(progs, runs)); err != nil {
 		return nil, err
 	}
 	res := &SweepResult{Latencies: lats}
@@ -128,11 +128,11 @@ func Sweep(ctx context.Context, s *Suite, lats []int64) (*SweepResult, error) {
 		sp := SweepProgram{Name: p.Name, Ideal: s.Ideal(ctx, p).Cycles}
 		for _, l := range lats {
 			cfg := sim.DefaultConfig(l)
-			rr, err := s.RunCtx(ctx, p, REF, cfg)
+			rr, err := s.Run(ctx, Job{Program: p, Arch: REF, Cfg: cfg})
 			if err != nil {
 				return nil, err
 			}
-			rd, err := s.RunCtx(ctx, p, DVA, cfg)
+			rd, err := s.Run(ctx, Job{Program: p, Arch: DVA, Cfg: cfg})
 			if err != nil {
 				return nil, err
 			}
@@ -167,18 +167,18 @@ type Figure6Result struct {
 func Figure6(ctx context.Context, s *Suite) (*Figure6Result, error) {
 	lats := Figure6Latencies
 	progs := workload.Simulated()
-	var runs []RunSpec
+	var runs []Job
 	for _, l := range lats {
-		runs = append(runs, RunSpec{DVA, sim.DefaultConfig(l)})
+		runs = append(runs, Job{Arch: DVA, Cfg: sim.DefaultConfig(l)})
 	}
-	if err := s.WarmCtx(ctx, progs, runs); err != nil {
+	if _, err := s.RunBatch(ctx, grid(progs, runs)); err != nil {
 		return nil, err
 	}
 	res := &Figure6Result{Latencies: lats}
 	for _, p := range progs {
 		fp := Figure6Program{Name: p.Name}
 		for _, l := range lats {
-			r, err := s.RunCtx(ctx, p, DVA, sim.DefaultConfig(l))
+			r, err := s.Run(ctx, Job{Program: p, Arch: DVA, Cfg: sim.DefaultConfig(l)})
 			if err != nil {
 				return nil, err
 			}

@@ -13,16 +13,12 @@ import (
 // deadlines and are free to mint root contexts, so they keep the shorter
 // spellings here.
 
-func (s *Suite) Run(p *workload.Program, arch Arch, cfg sim.Config) (*sim.Result, error) {
-	return s.RunCtx(context.Background(), p, arch, cfg)
+func (s *Suite) run(p *workload.Program, arch Arch, cfg sim.Config) (*sim.Result, error) {
+	return s.Run(context.Background(), Job{Program: p, Arch: arch, Cfg: cfg})
 }
 
-func (s *Suite) RunOOO(p *workload.Program, cfg ooo.Config) (*sim.Result, error) {
-	return s.RunOOOCtx(context.Background(), p, cfg)
-}
-
-func (s *Suite) warm(programs []*workload.Program, runs []RunSpec) error {
-	return s.WarmCtx(context.Background(), programs, runs)
+func (s *Suite) runOOO(p *workload.Program, cfg ooo.Config) (*sim.Result, error) {
+	return s.Run(context.Background(), Job{Program: p, Arch: OOO, Cfg: cfg.Config, Window: cfg.Window, PhysRegs: cfg.PhysRegs})
 }
 
 func parallel(jobs []func() error) error {

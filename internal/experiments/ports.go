@@ -42,27 +42,27 @@ func ExtensionPorts(ctx context.Context, s *Suite, lats []int64) (*PortsResult, 
 		cfg.MemPorts = 2
 		return cfg
 	}
-	var runs []RunSpec
+	var runs []Job
 	for _, l := range lats {
 		for _, cfg := range []sim.Config{oneP(l), bypP(l), twoP(l)} {
-			runs = append(runs, RunSpec{DVA, cfg})
+			runs = append(runs, Job{Arch: DVA, Cfg: cfg})
 		}
 	}
-	if err := s.WarmCtx(ctx, progs, runs); err != nil {
+	if _, err := s.RunBatch(ctx, grid(progs, runs)); err != nil {
 		return nil, err
 	}
 	res := &PortsResult{Latencies: lats}
 	for _, p := range progs {
 		for _, l := range lats {
-			r1, err := s.RunCtx(ctx, p, DVA, oneP(l))
+			r1, err := s.Run(ctx, Job{Program: p, Arch: DVA, Cfg: oneP(l)})
 			if err != nil {
 				return nil, err
 			}
-			rb, err := s.RunCtx(ctx, p, DVA, bypP(l))
+			rb, err := s.Run(ctx, Job{Program: p, Arch: DVA, Cfg: bypP(l)})
 			if err != nil {
 				return nil, err
 			}
-			r2, err := s.RunCtx(ctx, p, DVA, twoP(l))
+			r2, err := s.Run(ctx, Job{Program: p, Arch: DVA, Cfg: twoP(l)})
 			if err != nil {
 				return nil, err
 			}

@@ -16,7 +16,6 @@ import (
 	"sync"
 
 	"decvec/internal/ideal"
-	"decvec/internal/ooo"
 	"decvec/internal/sim"
 	"decvec/internal/simcache"
 	"decvec/internal/trace"
@@ -32,15 +31,6 @@ var Figure1Latencies = []int64{1, 30, 70, 100}
 
 // Figure6Latencies are the three latencies of the Figure 6 histograms.
 var Figure6Latencies = []int64{1, 30, 100}
-
-// Arch selects a simulator.
-type Arch string
-
-// Architectures.
-const (
-	REF Arch = "REF" // the reference (coupled) vector architecture
-	DVA Arch = "DVA" // the decoupled vector architecture
-)
 
 // Gate admission-controls real simulator invocations. A server attaches one
 // to Suite.Gate to bound concurrent simulations and shed load: Acquire
@@ -91,36 +81,24 @@ type Suite struct {
 	// Set it before the first Run.
 	Gate Gate
 
-	runs    flightGroup[suiteKey, *sim.Result]
-	oooRuns flightGroup[oooSuiteKey, *sim.Result]
-	sources flightGroup[sourceKey, *sim.Result]
-	ideals  flightGroup[string, ideal.Bound]
+	runs   flightGroup[memoKey, *sim.Result]
+	ideals flightGroup[string, ideal.Bound]
 
 	mu     sync.Mutex
 	sims   int64               // simulations actually executed (see Simulations)
 	hashes map[string][32]byte // trace content hash per program, at suite scale
 }
 
-type suiteKey struct {
-	program string
-	arch    Arch
-	cfg     sim.Config
-}
-
-// oooSuiteKey keys the out-of-order runs, whose configuration extends
-// sim.Config with the window and physical-register pool.
-type oooSuiteKey struct {
-	program string
-	cfg     ooo.Config
-}
-
-// sourceKey keys runs of arbitrary uploaded traces by content hash — two
+// memoKey is the suite's in-memory identity of a canonical job. Workload
+// runs are named by program; uploaded traces by content hash, so two
 // uploads of identical bytes coalesce exactly like two requests for the
 // same workload.
-type sourceKey struct {
-	hash [32]byte
-	arch Arch
-	cfg  sim.Config
+type memoKey struct {
+	program          string
+	hash             [32]byte
+	arch             Arch
+	cfg              sim.Config
+	window, physRegs int
 }
 
 // NewSuite returns an empty suite at the given trace scale.
@@ -129,12 +107,10 @@ func NewSuite(scale float64) *Suite {
 		scale = workload.DefaultScale
 	}
 	return &Suite{
-		Scale:   scale,
-		runs:    newFlightGroup[suiteKey, *sim.Result](),
-		oooRuns: newFlightGroup[oooSuiteKey, *sim.Result](),
-		sources: newFlightGroup[sourceKey, *sim.Result](),
-		ideals:  newFlightGroup[string, ideal.Bound](),
-		hashes:  make(map[string][32]byte),
+		Scale:  scale,
+		runs:   newFlightGroup[memoKey, *sim.Result](),
+		ideals: newFlightGroup[string, ideal.Bound](),
+		hashes: make(map[string][32]byte),
 	}
 }
 
@@ -176,108 +152,71 @@ func (s *Suite) admit(ctx context.Context) (func(), error) {
 	return s.Gate.Acquire(ctx)
 }
 
-// RunCtx simulates program p on the given architecture and configuration,
-// returning a cached result when the identical run has been done before —
-// in this process or, with a Disk store attached, in any previous one.
-// Concurrent calls for the same key share a single simulation, and a
-// caller that gives up stops waiting immediately (in the admission queue,
-// or on a coalesced in-flight run) without disturbing the computation
-// other callers still want.
-func (s *Suite) RunCtx(ctx context.Context, p *workload.Program, arch Arch, cfg sim.Config) (*sim.Result, error) {
-	if s.SlowTick {
-		cfg.SlowTick = true
+// Run simulates the job, returning a cached result when the identical run
+// has been done before — in this process or, with a Disk store attached, in
+// any previous one. Jobs are canonicalized first, so spellings of the same
+// run (REF with the bypass bit, say) share one entry. Concurrent calls for
+// the same job share a single simulation, and a caller that gives up stops
+// waiting immediately (in the admission queue, or on a coalesced in-flight
+// run) without disturbing the computation other callers still want.
+func (s *Suite) Run(ctx context.Context, j Job) (*sim.Result, error) {
+	j, key, err := s.memoKey(j)
+	if err != nil {
+		return nil, err
 	}
-	key := suiteKey{program: p.Name, arch: arch, cfg: cfg}
 	if r, ok := s.runs.get(key); ok {
 		return r, nil
 	}
 	return s.runs.do(ctx, key, func(ctx context.Context) (*sim.Result, error) {
-		return s.cachedSimulate(ctx, p, string(arch), cfg, "", func(ctx context.Context) (*sim.Result, error) {
-			return s.simulate(ctx, p, arch, cfg)
-		})
-	})
-}
-
-// RunOOOCtx simulates program p on the out-of-order extension (§8) with
-// the same two-tier caching and cancellation discipline as RunCtx.
-func (s *Suite) RunOOOCtx(ctx context.Context, p *workload.Program, cfg ooo.Config) (*sim.Result, error) {
-	if s.SlowTick {
-		cfg.SlowTick = true
-	}
-	key := oooSuiteKey{program: p.Name, cfg: cfg}
-	if r, ok := s.oooRuns.get(key); ok {
-		return r, nil
-	}
-	return s.oooRuns.do(ctx, key, func(ctx context.Context) (*sim.Result, error) {
-		extra := fmt.Sprintf("window=%d physregs=%d", cfg.Window, cfg.PhysRegs)
-		return s.cachedSimulate(ctx, p, "OOO", cfg.Config, extra, func(ctx context.Context) (*sim.Result, error) {
-			release, err := s.admit(ctx)
-			if err != nil {
-				return nil, err
-			}
-			defer release()
-			s.countSim()
-			r, err := simulateOOO(p.CachedTrace(s.Scale), cfg)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: OOO on %s: %w", p.Name, err)
-			}
-			return r, nil
-		})
-	})
-}
-
-// RunSourceCtx simulates an arbitrary materialized trace (for example one
-// uploaded to the dvad server) on REF or DVA with the full coalescing and
-// two-tier caching discipline: runs are keyed on trace content, so identical
-// uploads share one simulation and one cache entry — the same entry a
-// workload run of the identical trace would use.
-func (s *Suite) RunSourceCtx(ctx context.Context, src *trace.Slice, arch Arch, cfg sim.Config) (*sim.Result, error) {
-	if s.SlowTick {
-		cfg.SlowTick = true
-	}
-	th, err := trace.Hash(src)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: hashing trace %s: %w", src.Name(), err)
-	}
-	key := sourceKey{hash: th, arch: arch, cfg: cfg}
-	if r, ok := s.sources.get(key); ok {
-		return r, nil
-	}
-	return s.sources.do(ctx, key, func(ctx context.Context) (*sim.Result, error) {
-		simulate := func(ctx context.Context) (*sim.Result, error) {
-			return s.simulateSource(ctx, src, arch, cfg)
-		}
 		if s.Disk == nil {
-			return simulate(ctx)
+			return s.simulate(ctx, j)
 		}
-		return s.diskTier(ctx, th, string(arch), cfg, "", src.Name(), simulate)
+		th := key.hash
+		if j.Program != nil {
+			h, err := s.traceHash(j.Program)
+			if err != nil {
+				// A trace that cannot be hashed cannot be keyed, so it
+				// simulates uncached.
+				return s.simulate(ctx, j)
+			}
+			th = h
+		}
+		return s.diskTier(ctx, j, j.Key(s.Disk.Fingerprint(), th))
 	})
 }
 
-// cachedSimulate is the disk tier for workload runs: hash the program's
-// trace (memoized per suite) and delegate to diskTier. A trace that cannot
-// be hashed cannot be keyed, so it simulates uncached.
-func (s *Suite) cachedSimulate(ctx context.Context, p *workload.Program, arch string, cfg sim.Config, extra string, simulate func(context.Context) (*sim.Result, error)) (*sim.Result, error) {
-	if s.Disk == nil {
-		return simulate(ctx)
+// memoKey canonicalizes the job (applying the suite's SlowTick override)
+// and derives its in-memory key.
+func (s *Suite) memoKey(j Job) (Job, memoKey, error) {
+	j = j.Canonical()
+	if s.SlowTick {
+		j.Cfg.SlowTick = true
 	}
-	th, err := s.traceHash(p)
-	if err != nil {
-		return simulate(ctx)
+	key := memoKey{arch: j.Arch, cfg: j.Cfg, window: j.Window, physRegs: j.PhysRegs}
+	switch {
+	case j.Program != nil && j.Trace == nil:
+		key.program = j.Program.Name
+	case j.Trace != nil && j.Program == nil:
+		h, err := trace.Hash(j.Trace)
+		if err != nil {
+			return j, key, fmt.Errorf("experiments: hashing trace %s: %w", j.Trace.Name(), err)
+		}
+		key.hash = h
+	default:
+		return j, key, errors.New("experiments: a job needs exactly one of a program and a trace")
 	}
-	return s.diskTier(ctx, th, arch, cfg, extra, p.Name, simulate)
+	return j, key, nil
 }
 
 // diskTier consults the persistent store, falls back to the simulator, and
 // persists what it produced. With VerifyFraction > 0 a deterministic sample
 // of hits is re-simulated and byte-compared against the stored encoding; a
 // mismatch is a hard error, never a silent repair.
-func (s *Suite) diskTier(ctx context.Context, th [32]byte, arch string, cfg sim.Config, extra, name string, simulate func(context.Context) (*sim.Result, error)) (*sim.Result, error) {
-	key := s.Disk.Key(th, arch, cfg, extra)
+func (s *Suite) diskTier(ctx context.Context, j Job, key simcache.Key) (*sim.Result, error) {
 	if r, payload, ok := s.Disk.GetBytes(key); ok {
 		if simcache.VerifySample(key, s.VerifyFraction) {
 			s.Disk.CountVerified()
-			fresh, err := simulate(ctx)
+			fresh, err := s.simulate(ctx, j)
 			if err != nil {
 				return nil, err
 			}
@@ -286,12 +225,12 @@ func (s *Suite) diskTier(ctx context.Context, th [32]byte, arch string, cfg sim.
 				return nil, err
 			}
 			if !bytes.Equal(freshBytes, payload) {
-				return nil, fmt.Errorf("experiments: cache verification FAILED for %s %s on %s: stored result differs from re-simulation (key %s…); the store at %s holds results no current model produces — remove it and re-run", arch, cfg.String(), name, key[:16], s.Disk.Dir())
+				return nil, fmt.Errorf("experiments: cache verification FAILED for %s %s on %s: stored result differs from re-simulation (key %s…); the store at %s holds results no current model produces — remove it and re-run", j.Label(), j.Cfg.String(), j.name(), key[:16], s.Disk.Dir())
 			}
 		}
 		return r, nil
 	}
-	r, err := simulate(ctx)
+	r, err := s.simulate(ctx, j)
 	if err != nil {
 		return nil, err
 	}
@@ -320,34 +259,18 @@ func (s *Suite) traceHash(p *workload.Program) ([32]byte, error) {
 	return h, nil
 }
 
-// simulate performs one uncached simulator invocation of a workload program
-// on a pooled machine.
-func (s *Suite) simulate(ctx context.Context, p *workload.Program, arch Arch, cfg sim.Config) (*sim.Result, error) {
+// simulate performs one uncached, admission-gated simulator invocation of
+// the job on a pooled machine.
+func (s *Suite) simulate(ctx context.Context, j Job) (*sim.Result, error) {
 	release, err := s.admit(ctx)
 	if err != nil {
 		return nil, err
 	}
 	defer release()
 	s.countSim()
-	r, rerr := simulateArch(p.CachedTrace(s.Scale), arch, cfg)
+	r, rerr := simulateJob(j.source(s.Scale), j)
 	if rerr != nil {
-		return nil, fmt.Errorf("experiments: %s on %s: %w", arch, p.Name, rerr)
-	}
-	return r, nil
-}
-
-// simulateSource performs one uncached simulator invocation of an arbitrary
-// trace on a pooled machine.
-func (s *Suite) simulateSource(ctx context.Context, src *trace.Slice, arch Arch, cfg sim.Config) (*sim.Result, error) {
-	release, err := s.admit(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	s.countSim()
-	r, rerr := simulateArch(src, arch, cfg)
-	if rerr != nil {
-		return nil, fmt.Errorf("experiments: %s on %s: %w", arch, src.Name(), rerr)
+		return nil, fmt.Errorf("experiments: %s on %s: %w", j.Label(), j.name(), rerr)
 	}
 	return r, nil
 }
@@ -504,23 +427,15 @@ func parallelCtx(ctx context.Context, jobs []func() error) error {
 	return errors.Join(errs...)
 }
 
-// RunSpec is one (architecture, configuration) cell of a warm grid.
-type RunSpec struct {
-	Arch Arch
-	Cfg  sim.Config
-}
-
-// WarmCtx pre-runs the (program × spec) grid, honoring context cancellation
-// between jobs; it is the grid-shaped entry to RunBatch, which materializes
-// traces across the CPUs, collapses duplicate cells, groups cells by trace
-// and drains them longest-expected-first through the pooled machines.
-func (s *Suite) WarmCtx(ctx context.Context, programs []*workload.Program, runs []RunSpec) error {
-	jobs := make([]BatchJob, 0, len(programs)*len(runs))
+// grid crosses programs with (Arch, Cfg) templates in program-major order:
+// the batch the figure drivers warm before reading their cells back.
+func grid(programs []*workload.Program, runs []Job) []Job {
+	jobs := make([]Job, 0, len(programs)*len(runs))
 	for _, p := range programs {
 		for _, r := range runs {
-			jobs = append(jobs, BatchJob{Program: p, Arch: r.Arch, Cfg: r.Cfg})
+			r.Program = p
+			jobs = append(jobs, r)
 		}
 	}
-	_, err := s.RunBatch(ctx, jobs)
-	return err
+	return jobs
 }

@@ -30,7 +30,7 @@ func TestSuiteRunSingleflight(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-start
-			r, err := s.Run(p, DVA, cfg)
+			r, err := s.run(p, DVA, cfg)
 			if err != nil {
 				t.Error(err)
 				return
@@ -63,7 +63,7 @@ func TestSuiteRunCountsDistinctKeys(t *testing.T) {
 			wg.Add(1)
 			go func(lat int64) {
 				defer wg.Done()
-				if _, err := s.Run(p, REF, sim.DefaultConfig(lat)); err != nil {
+				if _, err := s.run(p, REF, sim.DefaultConfig(lat)); err != nil {
 					t.Error(err)
 				}
 			}(lat)
@@ -75,7 +75,7 @@ func TestSuiteRunCountsDistinctKeys(t *testing.T) {
 		t.Errorf("Simulations() = %d, want 2 (one per distinct config)", got)
 	}
 	// A sequential repeat hits the cache.
-	if _, err := s.Run(p, REF, sim.DefaultConfig(1)); err != nil {
+	if _, err := s.run(p, REF, sim.DefaultConfig(1)); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.Simulations(); got != 2 {
@@ -89,17 +89,17 @@ func TestSuiteRunErrorNotCached(t *testing.T) {
 	p := workload.Simulated()[0]
 	cfg := sim.DefaultConfig(10)
 
-	if _, err := s.Run(p, Arch("BOGUS"), cfg); err == nil {
+	if _, err := s.run(p, Arch(99), cfg); err == nil {
 		t.Fatal("want error for unknown architecture")
 	}
-	if _, err := s.Run(p, Arch("BOGUS"), cfg); err == nil {
+	if _, err := s.run(p, Arch(99), cfg); err == nil {
 		t.Fatal("want error again (errors are retried, not cached)")
 	}
 	if got := s.Simulations(); got != 2 {
 		t.Errorf("Simulations() = %d, want 2 (failed attempts are attempts)", got)
 	}
 	// The suite still works for valid keys afterwards.
-	if _, err := s.Run(p, REF, cfg); err != nil {
+	if _, err := s.run(p, REF, cfg); err != nil {
 		t.Fatal(err)
 	}
 }

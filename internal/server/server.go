@@ -30,7 +30,6 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -295,40 +294,43 @@ type SimulateRequest struct {
 	Raw bool `json:"raw,omitempty"`
 }
 
-// config materializes the request's sim.Config.
-func (req *SimulateRequest) config() (sim.Config, experiments.Arch, error) {
+// job parses the request into the job it names: the architecture through
+// experiments.Job.ParseArch, the configuration from the CLI knobs, and the
+// program or uploaded trace.
+func (req *SimulateRequest) job() (experiments.Job, error) {
+	var j experiments.Job
 	if req.Latency <= 0 {
-		return sim.Config{}, "", fmt.Errorf("latency must be positive, got %d", req.Latency)
+		return j, fmt.Errorf("latency must be positive, got %d", req.Latency)
 	}
-	cfg := sim.DefaultConfig(req.Latency)
+	j.Cfg = sim.DefaultConfig(req.Latency)
 	if req.LoadQ > 0 {
-		cfg.AVDQSize = req.LoadQ
+		j.Cfg.AVDQSize = req.LoadQ
 	}
 	if req.StoreQ > 0 {
-		cfg.VADQSize = req.StoreQ
+		j.Cfg.VADQSize = req.StoreQ
 	}
 	if req.IQ > 0 {
-		cfg.IQSize = req.IQ
+		j.Cfg.IQSize = req.IQ
 	}
 	if req.Jitter > 0 {
-		cfg.LatencyJitter = req.Jitter
+		j.Cfg.LatencyJitter = req.Jitter
 	}
-	if req.Bypass {
-		cfg.Bypass = true
+	j.Cfg.Bypass = req.Bypass
+	if err := j.ParseArch(req.Arch); err != nil {
+		return j, err
 	}
-	// BYP is DVA with the bypass bit set: canonicalize so the request
-	// shares cache entries and coalescing with the equivalent DVA run.
-	arch := experiments.Arch(strings.ToUpper(req.Arch))
-	if arch == "BYP" {
-		arch = experiments.DVA
-		cfg.Bypass = true
+	if (req.Program == "") == (len(req.Trace) == 0) {
+		return j, errors.New(`exactly one of "program" and "trace" must be set`)
 	}
-	switch arch {
-	case experiments.REF, experiments.DVA:
-		return cfg, arch, nil
-	default:
-		return sim.Config{}, "", fmt.Errorf("unknown architecture %q (want REF, DVA or BYP)", req.Arch)
+	var err error
+	if req.Program != "" {
+		j.Program, err = workload.Get(req.Program)
+		return j, err
 	}
+	if j.Trace, err = trace.Read(bytes.NewReader(req.Trace)); err != nil {
+		return j, fmt.Errorf("decoding trace: %w", err)
+	}
+	return j, nil
 }
 
 // requestContext derives the request's work context: the server timeout,
@@ -408,40 +410,16 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		s.badRequest(w, fmt.Errorf("decoding request: %w", err))
 		return
 	}
-	cfg, arch, err := req.config()
+	j, err := req.job()
 	if err != nil {
 		s.badRequest(w, err)
 		return
-	}
-	if (req.Program == "") == (len(req.Trace) == 0) {
-		s.badRequest(w, errors.New(`exactly one of "program" and "trace" must be set`))
-		return
-	}
-	var run func(context.Context) (*sim.Result, error)
-	if req.Program != "" {
-		p, err := workload.Get(req.Program)
-		if err != nil {
-			s.badRequest(w, err)
-			return
-		}
-		run = func(ctx context.Context) (*sim.Result, error) {
-			return s.suite.RunCtx(ctx, p, arch, cfg)
-		}
-	} else {
-		src, err := trace.Read(bytes.NewReader(req.Trace))
-		if err != nil {
-			s.badRequest(w, fmt.Errorf("decoding trace: %w", err))
-			return
-		}
-		run = func(ctx context.Context) (*sim.Result, error) {
-			return s.suite.RunSourceCtx(ctx, src, arch, cfg)
-		}
 	}
 	s.simulateReqs.Add(1)
 
 	ctx, cancel := s.requestContext(r, req.TimeoutMs)
 	defer cancel()
-	res, err := s.await(ctx, func() (*sim.Result, error) { return run(ctx) })
+	res, err := s.await(ctx, func() (*sim.Result, error) { return s.suite.Run(ctx, j) })
 	if err != nil {
 		s.httpError(w, err, http.StatusInternalServerError)
 		return
@@ -552,7 +530,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		res := results[i]
 		resp.Points = append(resp.Points, SweepPoint{
 			Program: j.Program.Name,
-			Arch:    string(j.Arch),
+			Arch:    j.Label(),
 			Latency: j.Cfg.MemLatency,
 			LoadQ:   j.Cfg.AVDQSize,
 			StoreQ:  j.Cfg.VADQSize,
@@ -564,92 +542,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	s.served.Add(1)
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(resp)
-}
-
-// gridPoints computes the point count of a sweep request from its dimension
-// lengths alone (empty dimensions take their default sizes), so an oversized
-// grid is rejected before any program or spec expansion work is spent on it.
-func gridPoints(req *SweepRequest) int {
-	dim := func(n, def int) int {
-		if n == 0 {
-			return def
-		}
-		return n
-	}
-	return dim(len(req.Programs), len(workload.Simulated())) *
-		dim(len(req.Archs), 2) *
-		dim(len(req.Latencies), len(experiments.DefaultLatencies)) *
-		dim(len(req.LoadQs), 1) *
-		dim(len(req.StoreQs), 1)
-}
-
-// sweepGrid expands a sweep request into its program set and run specs,
-// enforcing the grid-size bound — from the request's dimension counts, up
-// front, so an oversized request is refused before it burns allocation and
-// expansion work on a grid that was never going to run.
-func (s *Server) sweepGrid(req *SweepRequest) ([]*workload.Program, []experiments.RunSpec, error) {
-	if points := gridPoints(req); points > s.cfg.MaxSweepPoints {
-		return nil, nil, fmt.Errorf("sweep grid has %d points, cap is %d", points, s.cfg.MaxSweepPoints)
-	}
-	var progs []*workload.Program
-	if len(req.Programs) == 0 {
-		progs = workload.Simulated()
-	} else {
-		for _, name := range req.Programs {
-			p, err := workload.Get(name)
-			if err != nil {
-				return nil, nil, err
-			}
-			progs = append(progs, p)
-		}
-	}
-	archs := req.Archs
-	if len(archs) == 0 {
-		archs = []string{"REF", "DVA"}
-	}
-	lats := req.Latencies
-	if len(lats) == 0 {
-		lats = experiments.DefaultLatencies
-	}
-	loadQs := req.LoadQs
-	if len(loadQs) == 0 {
-		loadQs = []int{0}
-	}
-	storeQs := req.StoreQs
-	if len(storeQs) == 0 {
-		storeQs = []int{0}
-	}
-	var specs []experiments.RunSpec
-	for _, a := range archs {
-		arch := experiments.Arch(strings.ToUpper(a))
-		bypass := false
-		if arch == "BYP" {
-			arch = experiments.DVA
-			bypass = true
-		}
-		if arch != experiments.REF && arch != experiments.DVA {
-			return nil, nil, fmt.Errorf("unknown architecture %q (want REF, DVA or BYP)", a)
-		}
-		for _, l := range lats {
-			if l <= 0 {
-				return nil, nil, fmt.Errorf("latency must be positive, got %d", l)
-			}
-			for _, lq := range loadQs {
-				for _, sq := range storeQs {
-					cfg := sim.DefaultConfig(l)
-					if lq > 0 {
-						cfg.AVDQSize = lq
-					}
-					if sq > 0 {
-						cfg.VADQSize = sq
-					}
-					cfg.Bypass = bypass
-					specs = append(specs, experiments.RunSpec{Arch: arch, Cfg: cfg})
-				}
-			}
-		}
-	}
-	return progs, specs, nil
 }
 
 // Compile-time checks: the gates satisfy the suite's admission interface.

@@ -10,7 +10,7 @@ import (
 
 	"decvec/internal/experiments"
 	"decvec/internal/simcache"
-	"decvec/internal/workload"
+	"decvec/internal/sweep"
 )
 
 // SweepCell is one explicit cell of a /v1/sweep request: the dvasweep
@@ -42,9 +42,10 @@ type SweepRow struct {
 	CacheMisses int64 `json:"cacheMisses,omitempty"`
 }
 
-// sweepJobs expands a sweep request — explicit cells or a rectangular grid —
-// into batch jobs, enforcing the point cap before any expansion.
-func (s *Server) sweepJobs(req *SweepRequest) ([]experiments.BatchJob, error) {
+// sweepJobs expands a sweep request — explicit cells or a rectangular grid
+// compiled as a sweep.Plan — into jobs, enforcing the point cap before any
+// expansion.
+func (s *Server) sweepJobs(req *SweepRequest) ([]experiments.Job, error) {
 	if len(req.Cells) > 0 {
 		if len(req.Programs)+len(req.Archs)+len(req.Latencies)+len(req.LoadQs)+len(req.StoreQs) > 0 {
 			return nil, errors.New(`"cells" is mutually exclusive with the grid dimensions`)
@@ -52,30 +53,35 @@ func (s *Server) sweepJobs(req *SweepRequest) ([]experiments.BatchJob, error) {
 		if len(req.Cells) > s.cfg.MaxSweepPoints {
 			return nil, fmt.Errorf("sweep has %d cells, cap is %d", len(req.Cells), s.cfg.MaxSweepPoints)
 		}
-		jobs := make([]experiments.BatchJob, len(req.Cells))
+		jobs := make([]experiments.Job, len(req.Cells))
 		for i, c := range req.Cells {
-			p, err := workload.Get(c.Program)
+			sr := SimulateRequest{Program: c.Program, Arch: c.Arch, Latency: c.Latency, LoadQ: c.LoadQ, StoreQ: c.StoreQ}
+			j, err := sr.job()
 			if err != nil {
 				return nil, fmt.Errorf("cell %d: %w", i, err)
 			}
-			sr := SimulateRequest{Arch: c.Arch, Latency: c.Latency, LoadQ: c.LoadQ, StoreQ: c.StoreQ}
-			cfg, arch, err := sr.config()
-			if err != nil {
-				return nil, fmt.Errorf("cell %d: %w", i, err)
-			}
-			jobs[i] = experiments.BatchJob{Program: p, Arch: arch, Cfg: cfg}
+			jobs[i] = j
 		}
 		return jobs, nil
 	}
-	progs, specs, err := s.sweepGrid(req)
+	// A plan holds only its dimension arrays, so an oversized grid is
+	// refused here before any cell is expanded.
+	plan, err := sweep.NewPlan(sweep.GridSpec{
+		Programs:  req.Programs,
+		Archs:     req.Archs,
+		Latencies: req.Latencies,
+		LoadQs:    req.LoadQs,
+		StoreQs:   req.StoreQs,
+	})
 	if err != nil {
 		return nil, err
 	}
-	jobs := make([]experiments.BatchJob, 0, len(progs)*len(specs))
-	for _, p := range progs {
-		for _, spec := range specs {
-			jobs = append(jobs, experiments.BatchJob{Program: p, Arch: spec.Arch, Cfg: spec.Cfg})
-		}
+	if points := plan.Points(); points > s.cfg.MaxSweepPoints {
+		return nil, fmt.Errorf("sweep grid has %d points, cap is %d", points, s.cfg.MaxSweepPoints)
+	}
+	jobs := make([]experiments.Job, plan.Points())
+	for i := range jobs {
+		jobs[i] = plan.Cell(i).Job
 	}
 	return jobs, nil
 }
@@ -87,7 +93,7 @@ func (s *Server) sweepJobs(req *SweepRequest) ([]experiments.BatchJob, error) {
 // A timeout or client disconnect stops feeding new cells; rows already
 // written stay valid, so a coordinator retries exactly the cells it never
 // received.
-func (s *Server) streamSweep(w http.ResponseWriter, r *http.Request, req *SweepRequest, jobs []experiments.BatchJob) {
+func (s *Server) streamSweep(w http.ResponseWriter, r *http.Request, req *SweepRequest, jobs []experiments.Job) {
 	s.sweepReqs.Add(1)
 	ctx, cancel := s.requestContext(r, req.TimeoutMs)
 	defer cancel()
@@ -120,7 +126,7 @@ func (s *Server) streamSweep(w http.ResponseWriter, r *http.Request, req *SweepR
 				if ctx.Err() != nil {
 					continue // drain without running; the client retries these
 				}
-				res, err := s.suite.RunCtx(ctx, jobs[i].Program, jobs[i].Arch, jobs[i].Cfg)
+				res, err := s.suite.Run(ctx, jobs[i])
 				if err != nil {
 					writeRow(SweepRow{I: i, Error: err.Error()})
 					continue

@@ -7,4 +7,4 @@ package sim
 // tracegen, sim). The persistent result cache mixes it into every key, so
 // editing any model source invalidates all cached results. Regenerate with
 // `make generate`; freshness is enforced by `make verify` and CI.
-const ModelFingerprint = "mh1:b7eb976d6296d2d4eadf491be07cdf7d302399d35fe0d81b795192ad5ef0fba5"
+const ModelFingerprint = "mh1:a235b167ffb93216d517f5dcddc5a62a5bd055788bb1d2e45b131e82081344dd"

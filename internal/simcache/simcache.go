@@ -133,6 +133,10 @@ func Open(dir string, opts Options) (*Store, error) {
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
+// Fingerprint returns the model fingerprint the store's keys are derived
+// under.
+func (s *Store) Fingerprint() string { return s.fingerprint }
+
 // Stats returns a snapshot of the lifetime counters.
 func (s *Store) Stats() Stats {
 	return Stats{
@@ -197,10 +201,11 @@ func (s *Store) Key(traceHash [sha256.Size]byte, arch string, cfg sim.Config, ex
 
 // DeriveKey is the store-independent key derivation: the exact key a store
 // opened under the given model fingerprint would use for (trace, arch, cfg).
-// The sweep coordinator uses it to compute each cell's key — and so its
-// shard — without opening any store of its own: the keys it derives under
-// sim.ModelFingerprint are byte-for-byte the keys the workers' disk tiers
-// are organized by.
+// Its one caller outside this package is experiments.Job.Key, which both
+// the suite's disk tier and the sweep coordinator's sharding go through, so
+// the keys a coordinator derives under sim.ModelFingerprint — without
+// opening any store of its own — are byte-for-byte the keys the workers'
+// disk tiers are organized by.
 func DeriveKey(fingerprint string, traceHash [sha256.Size]byte, arch string, cfg sim.Config, extra string) Key {
 	h := sha256.New()
 	io.WriteString(h, "decvec-simcache-v1\n")

@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 
 	"decvec/internal/sim"
-	"decvec/internal/simcache"
 )
 
 // Shard maps a cache-key prefix to one of n shards. The prefix is
@@ -25,20 +24,13 @@ func Shard(prefix string, n int) int {
 	}
 	v, err := strconv.ParseUint(prefix, 16, 64)
 	if err != nil {
-		// Not a hex prefix — DeriveKey never produces one, but routing
+		// Not a hex prefix — Job.Key never produces one, but routing
 		// must stay total and deterministic, so fold the bytes instead.
 		for _, b := range []byte(prefix) {
 			v = v*131 + uint64(b)
 		}
 	}
 	return int(v % uint64(n))
-}
-
-// Key returns the cell's content-addressed simcache key under the given
-// model fingerprint and trace hash — exactly the key the worker's disk
-// tier stores the result under, which is what makes Shard cache-affine.
-func (c Cell) Key(fingerprint string, traceHash [32]byte) simcache.Key {
-	return simcache.DeriveKey(fingerprint, traceHash, string(c.Arch), c.Cfg, "")
 }
 
 // Options tune a coordinated sweep; the zero value is production-ready.

@@ -64,9 +64,9 @@ func (l *Local) Name() string { return l.name }
 // maps directly onto the executor one: completed cells come back, failed
 // cells are nil holes under the joined error.
 func (l *Local) Run(ctx context.Context, cells []Cell) ([]*sim.Result, error) {
-	jobs := make([]experiments.BatchJob, len(cells))
+	jobs := make([]experiments.Job, len(cells))
 	for i, c := range cells {
-		jobs[i] = c.Job()
+		jobs[i] = c.Job
 	}
 	return l.suite.RunBatch(ctx, jobs)
 }

@@ -18,7 +18,6 @@ package sweep
 
 import (
 	"fmt"
-	"strings"
 
 	"decvec/internal/experiments"
 	"decvec/internal/sim"
@@ -37,21 +36,13 @@ type GridSpec struct {
 	StoreQs   []int    `json:"storeqs,omitempty"`
 }
 
-// archSpec is one resolved architecture dimension value: BYP arrives as
-// DVA with the bypass bit, so its cells share cache keys — and therefore
-// shards — with the equivalent DVA+bypass cells.
-type archSpec struct {
-	arch   experiments.Arch
-	bypass bool
-}
-
 // Plan is a compiled grid: the dimension arrays, never the cell product.
 // Cells are decoded on demand by index, so a million-point plan costs the
 // same memory as a ten-point one — O(points) appears only in the result
 // slice a run necessarily returns.
 type Plan struct {
 	programs []*workload.Program
-	archs    []archSpec
+	archs    []experiments.Job // Arch and Cfg.Bypass, as ParseArch set them
 	lats     []int64
 	loadQs   []int
 	storeQs  []int
@@ -78,15 +69,11 @@ func NewPlan(spec GridSpec) (*Plan, error) {
 		archs = []string{"REF", "DVA"}
 	}
 	for _, a := range archs {
-		as := archSpec{arch: experiments.Arch(strings.ToUpper(a))}
-		if as.arch == "BYP" {
-			as.arch = experiments.DVA
-			as.bypass = true
+		var j experiments.Job
+		if err := j.ParseArch(a); err != nil {
+			return nil, fmt.Errorf("sweep: %w", err)
 		}
-		if as.arch != experiments.REF && as.arch != experiments.DVA {
-			return nil, fmt.Errorf("sweep: unknown architecture %q (want REF, DVA or BYP)", a)
-		}
-		p.archs = append(p.archs, as)
+		p.archs = append(p.archs, j)
 	}
 	p.lats = spec.Latencies
 	if len(p.lats) == 0 {
@@ -127,29 +114,18 @@ func (p *Plan) Points() int {
 // program's trace once for key derivation).
 func (p *Plan) Programs() []*workload.Program { return p.programs }
 
-// Cell is one (program, architecture, configuration) point of a plan,
-// carrying both the materialized sim.Config the executors run and the raw
-// dimension values the remote wire protocol speaks. Index is the cell's
-// position in plan order — the merge key: results land at out[Index]
-// whatever worker produced them, in whatever order.
+// Cell is one job of a plan. Index is the cell's position in plan order —
+// the merge key: results land at out[Index] whatever worker produced them,
+// in whatever order.
 type Cell struct {
-	Index   int
-	Program *workload.Program
-	Arch    experiments.Arch
-	Cfg     sim.Config
-
-	// Raw dimension values for the dvad wire protocol (0 = worker default).
-	Latency int64
-	LoadQ   int
-	StoreQ  int
-	Bypass  bool
+	experiments.Job
+	Index int
 }
 
 // Cell decodes the i-th cell of plan order: programs outermost, then
 // architectures, latencies, load queues, store queues innermost — the same
-// nesting the dvad grid mode and experiments.WarmCtx enumerate, so a
-// distributed merge compares row-for-row with a local batch of the same
-// grid.
+// nesting the dvad grid mode enumerates, so a distributed merge compares
+// row-for-row with a local batch of the same grid.
 func (p *Plan) Cell(i int) Cell {
 	n := i
 	sq := p.storeQs[n%len(p.storeQs)]
@@ -158,9 +134,8 @@ func (p *Plan) Cell(i int) Cell {
 	n /= len(p.loadQs)
 	lat := p.lats[n%len(p.lats)]
 	n /= len(p.lats)
-	a := p.archs[n%len(p.archs)]
+	j := p.archs[n%len(p.archs)]
 	n /= len(p.archs)
-	prog := p.programs[n]
 
 	cfg := sim.DefaultConfig(lat)
 	if lq > 0 {
@@ -169,20 +144,7 @@ func (p *Plan) Cell(i int) Cell {
 	if sq > 0 {
 		cfg.VADQSize = sq
 	}
-	cfg.Bypass = a.bypass
-	return Cell{
-		Index:   i,
-		Program: prog,
-		Arch:    a.arch,
-		Cfg:     cfg,
-		Latency: lat,
-		LoadQ:   lq,
-		StoreQ:  sq,
-		Bypass:  a.bypass,
-	}
-}
-
-// Job converts the cell to its batch-job form for the in-process executor.
-func (c Cell) Job() experiments.BatchJob {
-	return experiments.BatchJob{Program: c.Program, Arch: c.Arch, Cfg: c.Cfg}
+	cfg.Bypass = j.Cfg.Bypass
+	j.Program, j.Cfg = p.programs[n], cfg
+	return Cell{Job: j, Index: i}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"decvec/internal/experiments"
+	"decvec/internal/sim"
 	"decvec/internal/workload"
 )
 
@@ -47,11 +48,16 @@ func TestPlanCellOrder(t *testing.T) {
 						if c.Index != i {
 							t.Fatalf("cell %d: Index = %d", i, c.Index)
 						}
-						if c.Program.Name != prog || string(c.Arch) != arch ||
-							c.Latency != lat || c.LoadQ != lq || c.StoreQ != sq {
-							t.Fatalf("cell %d = (%s %s %d %d %d), want (%s %s %d %d %d)",
-								i, c.Program.Name, c.Arch, c.Latency, c.LoadQ, c.StoreQ,
-								prog, arch, lat, lq, sq)
+						want := sim.DefaultConfig(lat)
+						if lq > 0 {
+							want.AVDQSize = lq
+						}
+						if sq > 0 {
+							want.VADQSize = sq
+						}
+						if c.Program.Name != prog || c.Label() != arch || c.Cfg != want {
+							t.Fatalf("cell %d = (%s %s %+v), want (%s %s %+v)",
+								i, c.Program.Name, c.Label(), c.Cfg, prog, arch, want)
 						}
 						if c.Cfg.MemLatency != lat {
 							t.Fatalf("cell %d: Cfg.MemLatency = %d, want %d", i, c.Cfg.MemLatency, lat)
@@ -72,8 +78,8 @@ func TestPlanBypassCanonicalization(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := p.Cell(0)
-	if c.Arch != experiments.DVA || !c.Bypass || !c.Cfg.Bypass {
-		t.Errorf("BYP cell = arch %s bypass %v cfg.Bypass %v, want DVA true true", c.Arch, c.Bypass, c.Cfg.Bypass)
+	if c.Arch != experiments.DVA || !c.Cfg.Bypass || c.Label() != "BYP" {
+		t.Errorf("BYP cell = arch %s cfg.Bypass %v label %s, want DVA true BYP", c.Arch, c.Cfg.Bypass, c.Label())
 	}
 }
 

@@ -161,18 +161,19 @@ func (r *Remote) Stats() ExecutorStats {
 	return st
 }
 
+// wireCellOf renders a cell in the dvad wire form: the architecture by its
+// label (BYP for DVA with the bypass unit), queue sizes only where they
+// depart from the worker default, which the wire spells 0.
 func wireCellOf(c Cell) wireCell {
-	arch := string(c.Arch)
-	if c.Bypass {
-		arch = "BYP"
+	def := sim.DefaultConfig(c.Cfg.MemLatency)
+	wc := wireCell{Program: c.Program.Name, Arch: c.Label(), Latency: c.Cfg.MemLatency}
+	if c.Cfg.AVDQSize != def.AVDQSize {
+		wc.LoadQ = c.Cfg.AVDQSize
 	}
-	return wireCell{
-		Program: c.Program.Name,
-		Arch:    arch,
-		Latency: c.Latency,
-		LoadQ:   c.LoadQ,
-		StoreQ:  c.StoreQ,
+	if c.Cfg.VADQSize != def.VADQSize {
+		wc.StoreQ = c.Cfg.VADQSize
 	}
+	return wc
 }
 
 // Run implements Executor.
@@ -266,7 +267,7 @@ func (r *Remote) post(ctx context.Context, cells []Cell, pending []int, out []*s
 		if row.Error != "" {
 			c := cells[ci]
 			*cellErrs = append(*cellErrs, fmt.Errorf("worker %s: cell %d (%s %s lat=%d): %s",
-				r.name, ci, c.Program.Name, c.Arch, c.Latency, row.Error))
+				r.name, ci, c.Program.Name, c.Label(), c.Cfg.MemLatency, row.Error))
 			continue
 		}
 		res, err := sim.DecodeResult(bytes.NewReader(row.Result))

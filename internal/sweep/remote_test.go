@@ -1,4 +1,4 @@
-package sweep
+package sweep_test
 
 import (
 	"bytes"
@@ -15,12 +15,14 @@ import (
 	"decvec/internal/server"
 	"decvec/internal/sim"
 	"decvec/internal/simcache"
+	"decvec/internal/sweep"
 	"decvec/internal/workload"
 )
 
 // dvadServer spins a real in-process dvad for the remote executor to talk
 // to; only the test file imports internal/server (test files sit outside
-// the layer DAG).
+// the layer DAG), from the external test package because internal/server
+// itself imports sweep.
 func dvadServer(t *testing.T) *httptest.Server {
 	t.Helper()
 	s := server.New(server.Config{Scale: 0.05})
@@ -38,9 +40,9 @@ func dvadServer(t *testing.T) *httptest.Server {
 
 // canonical is the cell's result as the local suite computes and encodes
 // it — the byte-identity reference for whatever the wire returns.
-func canonical(t *testing.T, suite *experiments.Suite, c Cell) []byte {
+func canonical(t *testing.T, suite *experiments.Suite, c sweep.Cell) []byte {
 	t.Helper()
-	res, err := suite.RunCtx(context.Background(), c.Program, c.Arch, c.Cfg)
+	res, err := suite.Run(context.Background(), c.Job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,12 +80,12 @@ func TestRemoteRetriesAfter429(t *testing.T) {
 	}))
 	defer front.Close()
 
-	plan := testPlan(t, 6)
-	cells := make([]Cell, plan.Points())
+	plan := remotePlan(t, 6)
+	cells := make([]sweep.Cell, plan.Points())
 	for i := range cells {
 		cells[i] = plan.Cell(i)
 	}
-	rr := NewRemote(front.URL, RemoteOptions{Retries: 5, Backoff: time.Millisecond})
+	rr := sweep.NewRemote(front.URL, sweep.RemoteOptions{Retries: 5, Backoff: time.Millisecond})
 	out, err := rr.Run(context.Background(), cells)
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +127,12 @@ func TestRemoteRecoversFromMidStreamBreak(t *testing.T) {
 					t.Error(err)
 					panic(http.ErrAbortHandler)
 				}
-				res, err := suite.RunCtx(r.Context(), p, experiments.Arch(req.Cells[i].Arch), sim.DefaultConfig(req.Cells[i].Latency))
+				j := experiments.Job{Program: p, Cfg: sim.DefaultConfig(req.Cells[i].Latency)}
+				if err := j.ParseArch(req.Cells[i].Arch); err != nil {
+					t.Error(err)
+					panic(http.ErrAbortHandler)
+				}
+				res, err := suite.Run(r.Context(), j)
 				if err != nil {
 					t.Error(err)
 					panic(http.ErrAbortHandler)
@@ -142,12 +149,12 @@ func TestRemoteRecoversFromMidStreamBreak(t *testing.T) {
 	}))
 	defer front.Close()
 
-	plan := testPlan(t, 6)
-	cells := make([]Cell, plan.Points())
+	plan := remotePlan(t, 6)
+	cells := make([]sweep.Cell, plan.Points())
 	for i := range cells {
 		cells[i] = plan.Cell(i)
 	}
-	rr := NewRemote(front.URL, RemoteOptions{Retries: 3, Backoff: time.Millisecond})
+	rr := sweep.NewRemote(front.URL, sweep.RemoteOptions{Retries: 3, Backoff: time.Millisecond})
 	out, err := rr.Run(context.Background(), cells)
 	if err != nil {
 		t.Fatal(err)
@@ -170,9 +177,9 @@ func TestRemoteRecoversFromMidStreamBreak(t *testing.T) {
 // same canonical bytes.
 func TestRemoteSingleCellRawPath(t *testing.T) {
 	ts := dvadServer(t)
-	plan := testPlan(t, 3)
-	rr := NewRemote(ts.URL, RemoteOptions{Retries: 2, Backoff: time.Millisecond})
-	cells := []Cell{plan.Cell(1)}
+	plan := remotePlan(t, 3)
+	rr := sweep.NewRemote(ts.URL, sweep.RemoteOptions{Retries: 2, Backoff: time.Millisecond})
+	cells := []sweep.Cell{plan.Cell(1)}
 	out, err := rr.Run(context.Background(), cells)
 	if err != nil {
 		t.Fatal(err)
@@ -184,20 +191,20 @@ func TestRemoteSingleCellRawPath(t *testing.T) {
 }
 
 // A worker that is simply gone must exhaust its retries and surface
-// ErrWorkerDown — the coordinator's failover signal.
+// sweep.ErrWorkerDown — the coordinator's failover signal.
 func TestRemoteDeadWorkerReportsDown(t *testing.T) {
 	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
 	dead.Close() // connection refused from here on
 
-	plan := testPlan(t, 4)
-	cells := make([]Cell, plan.Points())
+	plan := remotePlan(t, 4)
+	cells := make([]sweep.Cell, plan.Points())
 	for i := range cells {
 		cells[i] = plan.Cell(i)
 	}
-	rr := NewRemote(dead.URL, RemoteOptions{Retries: 1, Backoff: time.Millisecond})
+	rr := sweep.NewRemote(dead.URL, sweep.RemoteOptions{Retries: 1, Backoff: time.Millisecond})
 	_, err := rr.Run(context.Background(), cells)
-	if !errors.Is(err, ErrWorkerDown) {
-		t.Fatalf("dead worker error = %v, want ErrWorkerDown", err)
+	if !errors.Is(err, sweep.ErrWorkerDown) {
+		t.Fatalf("dead worker error = %v, want sweep.ErrWorkerDown", err)
 	}
 }
 
@@ -213,19 +220,33 @@ func TestRemoteBadRequestIsPermanent(t *testing.T) {
 	}))
 	defer front.Close()
 
-	plan := testPlan(t, 4)
-	cells := make([]Cell, plan.Points())
+	plan := remotePlan(t, 4)
+	cells := make([]sweep.Cell, plan.Points())
 	for i := range cells {
 		cells[i] = plan.Cell(i)
 	}
-	rr := NewRemote(front.URL, RemoteOptions{Retries: 3, Backoff: time.Millisecond})
+	rr := sweep.NewRemote(front.URL, sweep.RemoteOptions{Retries: 3, Backoff: time.Millisecond})
 	_, err := rr.Run(context.Background(), cells)
-	if err == nil || errors.Is(err, ErrWorkerDown) {
+	if err == nil || errors.Is(err, sweep.ErrWorkerDown) {
 		t.Fatalf("400 must be a permanent non-down error, got %v", err)
 	}
 	if calls.Load() != 1 {
 		t.Errorf("400 was retried %d times; must not be retried", calls.Load()-1)
 	}
+}
+
+// remotePlan is a one-program DVA plan over latencies 1..n.
+func remotePlan(t *testing.T, n int) *sweep.Plan {
+	t.Helper()
+	lats := make([]int64, n)
+	for i := range lats {
+		lats[i] = int64(i + 1)
+	}
+	p, err := sweep.NewPlan(sweep.GridSpec{Programs: []string{"BDNA"}, Archs: []string{"DVA"}, Latencies: lats})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
 
 // proxy forwards one request to the backing server and copies the

@@ -83,7 +83,7 @@ var (
 // traceEntry memoizes one (program, scale) trace. Generation runs inside the
 // entry's once, outside the map lock, so different programs materialize
 // concurrently while duplicate requests for one key still generate exactly
-// once (Suite.WarmCtx fans materialization across the CPUs at cold start).
+// once (Suite.RunBatch fans materialization across the CPUs at cold start).
 type traceEntry struct {
 	once sync.Once
 	t    *trace.Slice

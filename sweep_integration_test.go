@@ -93,9 +93,9 @@ func TestDistributedSweepMatchesRunBatch(t *testing.T) {
 
 	// The same grid through one local RunBatch.
 	suite := experiments.NewSuite(scale)
-	jobs := make([]experiments.BatchJob, plan.Points())
+	jobs := make([]experiments.Job, plan.Points())
 	for i := range jobs {
-		jobs[i] = plan.Cell(i).Job()
+		jobs[i] = plan.Cell(i).Job
 	}
 	local, err := suite.RunBatch(context.Background(), jobs)
 	if err != nil {
@@ -191,9 +191,9 @@ func TestDistributedSweepSurvivesWorkerDeath(t *testing.T) {
 	}
 
 	suite := experiments.NewSuite(scale)
-	jobs := make([]experiments.BatchJob, plan.Points())
+	jobs := make([]experiments.Job, plan.Points())
 	for i := range jobs {
-		jobs[i] = plan.Cell(i).Job()
+		jobs[i] = plan.Cell(i).Job
 	}
 	local, err := suite.RunBatch(context.Background(), jobs)
 	if err != nil {
